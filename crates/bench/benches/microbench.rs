@@ -2,7 +2,8 @@
 //!
 //! * `cluster_map` — the paper's linear-probing aggregation table vs
 //!   `std::collections::HashMap` (§IV-A claims a large speedup; this bench
-//!   verifies it on this implementation).
+//!   verifies it on this implementation), and vs the dense rating array
+//!   the parallel SCLP uses over its PE-local label slots.
 //! * `sclp_round` — one sequential label-propagation round per edge.
 //! * `contraction` — sequential and parallel cluster contraction.
 //! * `collectives` — allreduce / alltoallv latency of the dmp substrate.
@@ -13,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pgp_dmp::DistGraph;
 use pgp_graph::Node;
-use pgp_lp::ClusterMap;
+use pgp_lp::{ClusterMap, DenseRating};
 use std::collections::HashMap;
 use std::hint::black_box;
 
@@ -23,6 +24,16 @@ fn bench_cluster_map(c: &mut Criterion) {
     let keys: Vec<Node> = (0..256u32).map(|i| (i * 2654435761) % 1024).collect();
     group.bench_function("linear_probing", |b| {
         let mut m = ClusterMap::with_max_degree(256);
+        b.iter(|| {
+            m.clear();
+            for &k in &keys {
+                m.add(black_box(k), 1);
+            }
+            black_box(m.len())
+        });
+    });
+    group.bench_function("dense_rating", |b| {
+        let mut m = DenseRating::new(1024);
         b.iter(|| {
             m.clear();
             for &k in &keys {

@@ -7,6 +7,11 @@
 //! faster than the hash map of the STL" — this module reproduces that
 //! structure (and the `cluster_map` Criterion bench compares it against
 //! `std::collections::HashMap`).
+//!
+//! When the keys already live in a small dense range — a PE's label slots
+//! during parallel clustering, the `k` block IDs during refinement — the
+//! hash is pure overhead: [`DenseRating`] indexes a plain array by key
+//! and keeps the same first-touch iteration order.
 
 use pgp_graph::{Node, Weight};
 
@@ -32,20 +37,6 @@ impl ClusterMap {
             used: Vec::with_capacity(max_degree.max(4)),
             mask: cap - 1,
         }
-    }
-
-    /// Grows the table so at least `max_degree` distinct clusters fit at
-    /// ≤ 50 % load. The map must be empty (entries would need rehashing);
-    /// callers reuse one map across graphs and regrow at graph boundaries.
-    pub fn ensure_degree(&mut self, max_degree: usize) {
-        assert!(self.used.is_empty(), "ensure_degree on a non-empty map");
-        let cap = (max_degree.max(4) * 2).next_power_of_two();
-        if cap <= self.keys.len() {
-            return;
-        }
-        self.keys = vec![EMPTY; cap];
-        self.vals = vec![0; cap];
-        self.mask = cap - 1;
     }
 
     /// Removes all entries (O(#entries), not O(capacity)).
@@ -115,6 +106,96 @@ impl ClusterMap {
     }
 }
 
+/// Marks a [`DenseRating`] key that has not been touched since the last
+/// clear (an accumulated connection weight never reaches `u64::MAX`).
+const ABSENT: Weight = Weight::MAX;
+
+/// A dense accumulation array `key → connection weight` for keys in
+/// `0..len`, with O(#entries) clear.
+///
+/// A drop-in for [`ClusterMap`] when keys are small dense integers: it
+/// iterates in first-touch order and keeps entries whose accumulated
+/// weight is 0 (zero-weight edges), exactly like the hash map, so
+/// swapping one for the other changes no tie-breaking decision.
+pub struct DenseRating {
+    vals: Vec<Weight>,
+    touched: Vec<Node>,
+}
+
+impl DenseRating {
+    /// Creates a rating array for keys in `0..len`.
+    pub fn new(len: usize) -> Self {
+        Self {
+            vals: vec![ABSENT; len],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Grows the key range to at least `0..len` (existing entries stay).
+    /// Growth past the current range is by an eighth, not by doubling: a
+    /// range that tracks a PE's label slots grows only by the few foreign
+    /// labels each phase brings in.
+    pub fn ensure_len(&mut self, len: usize) {
+        let cur = self.vals.len();
+        if cur < len {
+            let target = len.max(cur + cur / 8);
+            self.vals.reserve_exact(target - cur);
+            self.vals.resize(target, ABSENT);
+        }
+    }
+
+    /// Removes all entries (O(#entries), not O(len)).
+    #[inline]
+    pub fn clear(&mut self) {
+        for &c in &self.touched {
+            self.vals[c as usize] = ABSENT;
+        }
+        self.touched.clear();
+    }
+
+    /// Number of distinct keys currently stored.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.touched.len()
+    }
+
+    /// True iff no keys are stored.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.touched.is_empty()
+    }
+
+    /// Adds `w` to key `c`'s accumulated connection weight.
+    #[inline]
+    pub fn add(&mut self, c: Node, w: Weight) {
+        let v = &mut self.vals[c as usize];
+        if *v == ABSENT {
+            *v = w;
+            self.touched.push(c);
+        } else {
+            *v += w;
+        }
+        debug_assert_ne!(*v, ABSENT, "connection weight overflow");
+    }
+
+    /// Accumulated weight of key `c` (0 when absent).
+    #[inline]
+    pub fn get(&self, c: Node) -> Weight {
+        match self.vals[c as usize] {
+            ABSENT => 0,
+            w => w,
+        }
+    }
+
+    /// Iterates over `(key, weight)` entries in first-touch order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = (Node, Weight)> + '_ {
+        self.touched
+            .iter()
+            .map(move |&c| (c, self.vals[c as usize]))
+    }
+}
+
 #[inline]
 fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -175,6 +256,34 @@ mod tests {
             assert_eq!(m.len(), 2);
             assert_eq!(m.get(round as Node), round);
         }
+    }
+
+    #[test]
+    fn dense_rating_matches_cluster_map_order_and_zero_entries() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let mut m = ClusterMap::with_max_degree(64);
+        let mut d = DenseRating::new(16);
+        d.ensure_len(40);
+        for _ in 0..20 {
+            m.clear();
+            d.clear();
+            for _ in 0..64 {
+                let c: Node = rng.gen_range(0..40);
+                let w: Weight = rng.gen_range(0..3);
+                m.add(c, w);
+                d.add(c, w);
+            }
+            assert_eq!(m.len(), d.len());
+            assert!(m.iter().eq(d.iter()), "same first-touch order and sums");
+            for c in 0..40 {
+                assert_eq!(m.get(c), d.get(c));
+            }
+        }
+        d.clear();
+        d.add(3, 0);
+        assert_eq!(d.iter().collect::<Vec<_>>(), vec![(3, 0)]);
+        assert!(!d.is_empty());
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod cluster_map;
 pub mod par;
 pub mod seq;
 
-pub use cluster_map::ClusterMap;
+pub use cluster_map::{ClusterMap, DenseRating};
 pub use par::{
     parallel_sclp_cluster, parallel_sclp_cluster_with_scratch, parallel_sclp_refine,
     parallel_sclp_refine_with_scratch, singleton_labels, SclpScratch,

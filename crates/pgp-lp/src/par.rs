@@ -5,7 +5,7 @@
 //! weights are maintained, exactly as in the paper:
 //!
 //! * **Clustering** (coarsening): there are up to `n` clusters, so no PE can
-//!   hold all weights. Each PE keeps a *localized* map with the weights of
+//!   hold all weights. Each PE keeps a *localized* view with the weights of
 //!   the clusters its local and ghost nodes belong to — exact at
 //!   initialization (every cluster is a singleton), updated on local moves
 //!   and on incoming ghost updates, never communicated. The `U = Lmax/f`
@@ -22,10 +22,31 @@
 //!   ParHIP does not), each PE additionally limits the weight it moves into
 //!   any block per phase to its `1/p` share of the block's remaining slack.
 //!
-//! Both modes draw their visit order and neighbour-aggregation map from a
-//! [`SclpScratch`], which caches the degree order per graph so repeated
-//! invocations on the same graph (V-cycles, multiple refinement levels)
-//! skip the O(n log n) re-sort and all per-call allocations.
+//! ## PE-local dense label space
+//!
+//! Cluster labels are global node IDs, but a PE only ever sees a few of
+//! them, so each clustering call gives every label the PE can see a dense
+//! **slot** (`SlotSpace`): an owned-range label maps to its owned local
+//! ID, the global ID of a ghost to that ghost's local ID, and any other
+//! (*foreign*) label — one that reached the PE through a ghost update — to
+//! a slot appended on first sight. The rounds aggregate neighbours by
+//! slot in a [`DenseRating`] and read cluster weights from a dense array
+//! indexed by slot; a slot is translated back to its global label only
+//! when a node moves. Slot ↔ label is a bijection within the PE and
+//! neighbours are inserted in the same order, so the candidate order, the
+//! RNG tie-breaking and hence every label are exactly those of a map keyed
+//! by global label. Refinement rates its `k` blocks in the same dense
+//! structure. Under `debug_assertions` every phase boundary recounts the
+//! localized weights from the labels.
+//!
+//! Both modes draw their visit order from a [`SclpScratch`], which caches
+//! the degree order per graph so repeated invocations on the same graph
+//! (V-cycles, multiple refinement levels) skip the O(n log n) re-sort. The
+//! slot space and rating array are allocated per call and freed on return:
+//! one scratch lives through a whole V-cycle run, and finest-level slot
+//! arrays held through contraction and uncoarsening would raise the peak
+//! memory for no gain (rebuilding them is O(n_all), which every call pays
+//! anyway to count the initial cluster weights).
 //!
 //! ## Intra-PE worker pool (hybrid parallelism, DESIGN.md §13)
 //!
@@ -33,7 +54,7 @@
 //! ([`Comm::threads_per_pe`] > 1), each round is processed as a chunked
 //! superstep: the visit order is split at fixed, graph-derived boundaries
 //! (see [`crate::chunk`], cached in the scratch), scoped workers propose
-//! moves per chunk against **round-start** labels/weights plus their own
+//! moves per chunk against **round-start** slots/weights plus their own
 //! in-chunk deltas, and the PE thread merges the proposals **in
 //! chunk-index order**, re-validating each against the merged weights
 //! (cluster: the soft `U` bound; refine: the true per-phase inflow
@@ -42,24 +63,26 @@
 //! 2`; `threads_per_pe = 1` takes the classic sequential path below,
 //! unchanged. The two paths differ (in-round staleness vs. full
 //! asynchrony), which is exactly the staleness the paper's localized
-//! weights already absorb across PEs.
+//! weights already absorb across PEs. Cluster-mode chunks aggregate in a
+//! per-chunk [`ClusterMap`] keyed by slot (a dense array per chunk would
+//! cost `O(slots)` memory per worker).
 
 use crate::chunk;
-use crate::cluster_map::ClusterMap;
+use crate::cluster_map::{ClusterMap, DenseRating};
 use crate::seq::SclpStats;
 use pgp_dmp::collectives::{allreduce_sum, allreduce_sum_vec, allreduce_sum_vec_i64};
 use pgp_dmp::{Comm, DistGraph, LabelExchange};
 use pgp_graph::ids;
-use pgp_graph::{Node, Weight};
+use pgp_graph::{Node, Weight, INVALID_NODE};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rustc_hash::FxHashMap;
 
-/// Reusable SCLP working memory: visit orders and the neighbour-cluster
-/// aggregation map, cached per graph.
+/// Reusable SCLP working memory: visit orders and chunk boundaries,
+/// cached per graph.
 ///
-/// The degree order and map capacity only depend on the graph, so one
+/// The degree order and chunk boundaries only depend on the graph, so one
 /// scratch threaded through a whole V-cycle run recomputes them once per
 /// distinct level instead of once per SCLP call ([`prepare`](Self) is a
 /// fingerprint-guarded no-op when the graph is unchanged).
@@ -68,12 +91,10 @@ pub struct SclpScratch {
     fingerprint: Option<u64>,
     /// Local nodes in degree-increasing order (cluster-mode visit order).
     degree_order: Vec<Node>,
-    /// Maximum local degree (sizes `map`).
+    /// Maximum local degree (sizes the per-chunk cluster maps).
     max_degree: usize,
     /// Refine-mode shuffle buffer (reset to identity at each call).
     index_order: Vec<Node>,
-    /// Neighbour-cluster aggregation map, regrown at graph boundaries.
-    map: ClusterMap,
     /// Cluster-mode chunk boundaries over `degree_order`, balanced by
     /// degree volume (see [`chunk::balanced_bounds`]).
     cluster_bounds: Vec<usize>,
@@ -90,18 +111,17 @@ impl SclpScratch {
             degree_order: Vec::new(),
             max_degree: 0,
             index_order: Vec::new(),
-            map: ClusterMap::with_max_degree(1),
             cluster_bounds: Vec::new(),
             refine_bounds: Vec::new(),
         }
     }
 
-    /// Points the scratch at `graph`: recomputes the degree order, chunk
-    /// boundaries, and the map capacity when the graph changed since the
-    /// last call; a no-op when it did not (the same finest graph recurs
-    /// once per V-cycle). The guard compares [`DistGraph`]'s cached
-    /// degree fingerprint — O(1), computed once at graph assembly —
-    /// instead of re-hashing the offset array on every SCLP call.
+    /// Points the scratch at `graph`: recomputes the degree order and
+    /// chunk boundaries when the graph changed since the last call; a
+    /// no-op when it did not (the same finest graph recurs once per
+    /// V-cycle). The guard compares [`DistGraph`]'s cached degree
+    /// fingerprint — O(1), computed once at graph assembly — instead of
+    /// re-hashing the offset array on every SCLP call.
     fn prepare(&mut self, graph: &DistGraph) {
         let fp = graph.degree_fingerprint();
         if self.fingerprint == Some(fp) {
@@ -117,8 +137,6 @@ impl SclpScratch {
             .last()
             .map(|&v| graph.degree(v))
             .unwrap_or(0);
-        self.map.clear();
-        self.map.ensure_degree(self.max_degree.max(1));
         // Chunk boundaries for the intra-PE worker pool: graph-derived so
         // every threads_per_pe ≥ 2 sees the same work-lists.
         let chunks = chunk::chunk_count(graph.n_local());
@@ -134,6 +152,113 @@ impl SclpScratch {
 impl Default for SclpScratch {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The PE-local dense label space of one clustering call (module docs):
+/// slot `s < n_all` stands for the global ID of visible node `s`, slot
+/// `n_all + i` for the `i`-th foreign label seen.
+struct SlotSpace {
+    /// Owned + ghost node count of the current graph.
+    n_all: usize,
+    /// Slot of each visible node's current label.
+    of_node: Vec<Node>,
+    /// Localized cluster weight per slot: the summed weight of the visible
+    /// nodes whose label maps to the slot.
+    weight: Vec<i64>,
+    /// Foreign label → slot. Touched only when a ghost update brings in a
+    /// label the PE has not seen before, never per adjacency entry.
+    foreign: FxHashMap<Node, Node>,
+    /// Label of foreign slot `n_all + i`.
+    foreign_label: Vec<Node>,
+}
+
+impl SlotSpace {
+    /// Builds the slots and weights of `labels` (owned + ghost).
+    fn new(graph: &DistGraph, labels: &[Node]) -> Self {
+        let n_all = labels.len();
+        let mut slots = Self {
+            n_all,
+            of_node: Vec::with_capacity(n_all),
+            weight: vec![0; n_all],
+            foreign: FxHashMap::default(),
+            foreign_label: Vec::new(),
+        };
+        for (l, &label) in (0..ids::node_of_index(n_all)).zip(labels) {
+            // Singleton labels (the common start) skip the ghost-map probe.
+            let s = if label == graph.local_to_global(l) {
+                l
+            } else {
+                slots.slot_of(graph, label)
+            };
+            slots.of_node.push(s);
+            slots.weight[ids::node_index(s)] += graph.node_weight(l) as i64;
+        }
+        slots
+    }
+
+    /// Number of slots handed out so far.
+    fn len(&self) -> usize {
+        self.weight.len()
+    }
+
+    /// Slot of `label`, appending a foreign slot on first sight.
+    fn slot_of(&mut self, graph: &DistGraph, label: Node) -> Node {
+        let l = graph.global_to_local(label);
+        if l != INVALID_NODE {
+            return l;
+        }
+        let next = ids::node_of_index(self.weight.len());
+        let (weight, foreign_label) = (&mut self.weight, &mut self.foreign_label);
+        *self.foreign.entry(label).or_insert_with(|| {
+            // Foreign labels are few (under 1 % of the slots on web graphs):
+            // grow by an eighth, not by doubling, to keep the scratch small.
+            if weight.len() == weight.capacity() {
+                weight.reserve_exact(weight.len() / 8 + 1);
+            }
+            weight.push(0);
+            foreign_label.push(label);
+            next
+        })
+    }
+
+    /// Global label of slot `s`.
+    #[inline]
+    fn label_of(&self, graph: &DistGraph, s: Node) -> Node {
+        match ids::node_index(s).checked_sub(self.n_all) {
+            None => graph.local_to_global(s),
+            Some(i) => self.foreign_label[i],
+        }
+    }
+
+    /// Moves visible node `l` (weight `w`) from its slot to slot `to`.
+    #[inline]
+    fn move_node(&mut self, l: Node, to: Node, w: i64) {
+        let from = std::mem::replace(&mut self.of_node[ids::node_index(l)], to);
+        self.weight[ids::node_index(from)] -= w;
+        self.weight[ids::node_index(to)] += w;
+    }
+
+    /// Applies a ghost update: visible node `l` now carries `label`.
+    fn relabel(&mut self, graph: &DistGraph, l: Node, label: Node) {
+        let to = self.slot_of(graph, label);
+        self.move_node(l, to, graph.node_weight(l) as i64);
+    }
+
+    /// Debug-build invariant: every node's slot names its label, and every
+    /// slot's weight is the summed weight of the visible nodes in it.
+    #[cfg(debug_assertions)]
+    fn assert_exact(&self, graph: &DistGraph, labels: &[Node]) {
+        let mut recount = vec![0i64; self.len()];
+        for (l, &s) in (0..ids::node_of_index(self.n_all)).zip(&self.of_node) {
+            assert_eq!(
+                self.label_of(graph, s),
+                labels[ids::node_index(l)],
+                "slot of node {l} out of step with its label"
+            );
+            recount[ids::node_index(s)] += graph.node_weight(l) as i64;
+        }
+        assert_eq!(recount, self.weight, "localized cluster weights drifted");
     }
 }
 
@@ -183,9 +308,8 @@ pub fn parallel_sclp_cluster(
     )
 }
 
-/// As [`parallel_sclp_cluster`], drawing visit order and aggregation map
-/// from `scratch` (recomputed only when `graph` differs from the scratch's
-/// last graph).
+/// As [`parallel_sclp_cluster`], drawing the visit order from `scratch`
+/// (recomputed only when `graph` differs from the scratch's last graph).
 #[allow(clippy::too_many_arguments)] // the scratch-threading variant of an already-wide API
 pub fn parallel_sclp_cluster_with_scratch(
     comm: &Comm,
@@ -197,8 +321,7 @@ pub fn parallel_sclp_cluster_with_scratch(
     constraint: Option<&[Node]>,
     scratch: &mut SclpScratch,
 ) -> SclpStats {
-    let n_local = graph.n_local();
-    let n_all = n_local + graph.n_ghost();
+    let n_all = graph.n_local() + graph.n_ghost();
     assert_eq!(labels.len(), n_all, "labels must cover owned + ghost nodes");
     if let Some(c) = constraint {
         assert_eq!(c.len(), n_all, "constraint must cover owned + ghost nodes");
@@ -206,26 +329,20 @@ pub fn parallel_sclp_cluster_with_scratch(
     let rank_seed = pgp_dmp::mix_seed(seed, ids::count_global(comm.rank()));
     let mut rng = SmallRng::seed_from_u64(rank_seed);
 
-    // Localized cluster weights: exact at init because every cluster the PE
-    // can see is composed of nodes the PE can see (singletons). Sized once;
-    // FxHash because keys are node IDs, not attacker-controlled input.
-    let mut weights: FxHashMap<Node, i64> =
-        FxHashMap::with_capacity_and_hasher(n_all, Default::default());
-    for l in 0..ids::node_of_index(n_all) {
-        *weights.entry(labels[ids::node_index(l)]).or_insert(0) += graph.node_weight(l) as i64;
-    }
-
     let mut exchange = LabelExchange::new(comm, graph);
     scratch.prepare(graph);
     let threads = comm.threads_per_pe();
     let SclpScratch {
         degree_order: order,
-        map,
         max_degree,
         cluster_bounds,
         ..
     } = scratch;
     let max_degree = *max_degree;
+    // Localized cluster weights: exact at init because every cluster the PE
+    // can see is composed of nodes the PE can see (singletons).
+    let mut slots = SlotSpace::new(graph, labels);
+    let mut rating = DenseRating::new(0);
 
     let mut stats = SclpStats::default();
     for round in 0..iterations {
@@ -245,42 +362,44 @@ pub fn parallel_sclp_cluster_with_scratch(
                 threads,
                 labels,
                 constraint,
-                &mut weights,
+                &mut slots,
                 &mut exchange,
             )
         } else {
+            // Local moves only reuse slots; ghost updates at the last phase
+            // boundary may have appended foreign ones.
+            rating.ensure_len(slots.len());
             let mut moved = 0u64;
             for &v in order.iter() {
                 if graph.degree(v) == 0 {
                     continue;
                 }
-                let cur = labels[ids::node_index(v)];
-                map.clear();
+                let cur = slots.of_node[ids::node_index(v)];
+                rating.clear();
                 match constraint {
                     None => {
                         for (u, w) in graph.neighbors(v) {
-                            map.add(labels[ids::node_index(u)], w);
+                            rating.add(slots.of_node[ids::node_index(u)], w);
                         }
                     }
                     Some(cons) => {
                         let cv = cons[ids::node_index(v)];
                         for (u, w) in graph.neighbors(v) {
                             if cons[ids::node_index(u)] == cv {
-                                map.add(labels[ids::node_index(u)], w);
+                                rating.add(slots.of_node[ids::node_index(u)], w);
                             }
                         }
                     }
                 }
                 let cv_weight = graph.node_weight(v) as i64;
                 let mut best = cur;
-                let mut best_w = map.get(cur);
+                let mut best_w = rating.get(cur);
                 let mut ties = 1u32;
-                for (c, w) in map.iter() {
+                for (c, w) in rating.iter() {
                     if c == cur {
                         continue;
                     }
-                    let target_weight = weights.get(&c).copied().unwrap_or(0).max(0);
-                    if target_weight + cv_weight > u_bound as i64 {
+                    if slots.weight[ids::node_index(c)] + cv_weight > u_bound as i64 {
                         continue;
                     }
                     if w > best_w {
@@ -292,15 +411,13 @@ pub fn parallel_sclp_cluster_with_scratch(
                         if rng.gen_range(0..ties) == 0 {
                             best = c;
                         }
-                    } else if w == best_w && w > 0 && best == cur {
-                        // Equal to the stay-weight: prefer staying (stability).
                     }
                 }
                 if best != cur {
-                    *weights.entry(cur).or_insert(0) -= cv_weight;
-                    *weights.entry(best).or_insert(0) += cv_weight;
-                    labels[ids::node_index(v)] = best;
-                    exchange.record(graph, v, best);
+                    slots.move_node(v, best, cv_weight);
+                    let label = slots.label_of(graph, best);
+                    labels[ids::node_index(v)] = label;
+                    exchange.record(graph, v, label);
                     moved += 1;
                 }
             }
@@ -309,40 +426,41 @@ pub fn parallel_sclp_cluster_with_scratch(
         stats.rounds += 1;
         stats.moves += moved;
         // Phase boundary: overlap scheme — send now, apply phase κ−1.
-        exchange.flush_overlap_with(comm, graph, labels, |l, old, new| {
-            let w = graph.node_weight(l) as i64;
-            *weights.entry(old).or_insert(0) -= w;
-            *weights.entry(new).or_insert(0) += w;
+        exchange.flush_overlap_with(comm, graph, labels, |l, _, new| {
+            slots.relabel(graph, l, new);
         });
+        #[cfg(debug_assertions)]
+        slots.assert_exact(graph, labels);
         // Convergence is global: stop only when *no* PE moved anything.
         let global_moves = allreduce_sum(comm, moved);
         if global_moves == 0 {
             break;
         }
     }
-    exchange.finish_with(comm, graph, labels, |l, old, new| {
-        let w = graph.node_weight(l) as i64;
-        *weights.entry(old).or_insert(0) -= w;
-        *weights.entry(new).or_insert(0) += w;
+    exchange.finish_with(comm, graph, labels, |l, _, new| {
+        slots.relabel(graph, l, new);
     });
+    #[cfg(debug_assertions)]
+    slots.assert_exact(graph, labels);
     stats
 }
 
-/// One chunk's proposed moves (`(node, target label)` in chunk-visit
-/// order) plus the worker-measured compute time, folded into the phase
-/// stats by the merging PE thread.
+/// One chunk's proposed moves (`(node, target)` in chunk-visit order; the
+/// target is a slot in cluster mode, a block in refine mode) plus the
+/// worker-measured compute time, folded into the phase stats by the
+/// merging PE thread.
 struct ChunkMoves {
     moves: Vec<(Node, Node)>,
     elapsed_ns: u64,
 }
 
 /// One cluster-mode round as a chunked superstep (`threads_per_pe ≥ 2`):
-/// workers propose moves per chunk against round-start `labels`/`weights`
-/// plus their own in-chunk weight deltas; the PE thread merges proposals
-/// in chunk-index order, re-checking the soft `U` bound against the
-/// merged weights so a skipped move never desynchronizes labels from
-/// weights. Deterministic in `(seed, p)` and independent of `threads`
-/// (chunk boundaries and per-chunk RNG streams are graph/round-derived).
+/// workers propose moves per chunk against round-start slots/weights plus
+/// their own in-chunk weight deltas; the PE thread merges proposals in
+/// chunk-index order, re-checking the soft `U` bound against the merged
+/// weights so a skipped move never desynchronizes labels from weights.
+/// Deterministic in `(seed, p)` and independent of `threads` (chunk
+/// boundaries and per-chunk RNG streams are graph/round-derived).
 #[allow(clippy::too_many_arguments)] // internal seam of an already-wide API
 fn cluster_round_chunked(
     comm: &Comm,
@@ -355,14 +473,13 @@ fn cluster_round_chunked(
     threads: usize,
     labels: &mut [Node],
     constraint: Option<&[Node]>,
-    weights: &mut FxHashMap<Node, i64>,
+    slots: &mut SlotSpace,
     exchange: &mut LabelExchange,
 ) -> u64 {
     // Freeze the round-start state for the worker phase: nothing mutates
-    // `labels`/`weights` until the merge below, so workers take shared
-    // borrows instead of snapshots.
-    let labels_r: &[Node] = labels;
-    let weights_r: &FxHashMap<Node, i64> = weights;
+    // the slots until the merge below, so workers take shared borrows
+    // instead of snapshots.
+    let slots_r: &SlotSpace = slots;
     let outs = chunk::run_chunks(threads, bounds, |chunk_idx, lo, hi| {
         let t0 = std::time::Instant::now(); // lint:instant-ok: per-chunk compute span, folded into phase stats at merge
         let mut rng =
@@ -374,19 +491,19 @@ fn cluster_round_chunked(
             if graph.degree(v) == 0 {
                 continue;
             }
-            let cur = labels_r[ids::node_index(v)];
+            let cur = slots_r.of_node[ids::node_index(v)];
             map.clear();
             match constraint {
                 None => {
                     for (u, w) in graph.neighbors(v) {
-                        map.add(labels_r[ids::node_index(u)], w);
+                        map.add(slots_r.of_node[ids::node_index(u)], w);
                     }
                 }
                 Some(cons) => {
                     let cv = cons[ids::node_index(v)];
                     for (u, w) in graph.neighbors(v) {
                         if cons[ids::node_index(u)] == cv {
-                            map.add(labels_r[ids::node_index(u)], w);
+                            map.add(slots_r.of_node[ids::node_index(u)], w);
                         }
                     }
                 }
@@ -400,9 +517,8 @@ fn cluster_round_chunked(
                     continue;
                 }
                 // Round-start weight plus this chunk's own accepted moves.
-                let target_weight = (weights_r.get(&c).copied().unwrap_or(0)
-                    + wdelta.get(&c).copied().unwrap_or(0))
-                .max(0);
+                let target_weight =
+                    slots_r.weight[ids::node_index(c)] + wdelta.get(&c).copied().unwrap_or(0);
                 if target_weight + cv_weight > u_bound as i64 {
                     continue;
                 }
@@ -415,8 +531,6 @@ fn cluster_round_chunked(
                     if rng.gen_range(0..ties) == 0 {
                         best = c;
                     }
-                } else if w == best_w && w > 0 && best == cur {
-                    // Equal to the stay-weight: prefer staying (stability).
                 }
             }
             if best != cur {
@@ -431,21 +545,19 @@ fn cluster_round_chunked(
         }
     });
     // Ordered merge on the PE thread: chunk-index order, re-validated
-    // against the *merged* weights. Label and weight updates are applied
-    // together, so a skipped proposal leaves both untouched.
+    // against the *merged* weights. Slot, label and weight updates are
+    // applied together, so a skipped proposal leaves all three untouched.
     let mut moved = 0u64;
     for out in outs {
         for &(v, best) in &out.moves {
-            let cur = labels[ids::node_index(v)];
             let cv_weight = graph.node_weight(v) as i64;
-            let target_weight = weights.get(&best).copied().unwrap_or(0).max(0);
-            if target_weight + cv_weight > u_bound as i64 {
+            if slots.weight[ids::node_index(best)] + cv_weight > u_bound as i64 {
                 continue; // earlier chunks filled the cluster past the soft bound
             }
-            *weights.entry(cur).or_insert(0) -= cv_weight;
-            *weights.entry(best).or_insert(0) += cv_weight;
-            labels[ids::node_index(v)] = best;
-            exchange.record(graph, v, best);
+            slots.move_node(v, best, cv_weight);
+            let label = slots.label_of(graph, best);
+            labels[ids::node_index(v)] = label;
+            exchange.record(graph, v, label);
             moved += 1;
         }
         comm.recorder()
@@ -510,12 +622,10 @@ pub fn parallel_sclp_refine_with_scratch(
     let threads = comm.threads_per_pe();
     let SclpScratch {
         index_order: order,
-        map,
-        max_degree,
         refine_bounds,
         ..
     } = scratch;
-    let max_degree = *max_degree;
+    let mut rating = DenseRating::new(k);
     // Identity order at entry; within a call the shuffles compound.
     order.clear();
     order.extend(0..ids::node_of_index(n_local));
@@ -555,7 +665,6 @@ pub fn parallel_sclp_refine_with_scratch(
                 pgp_dmp::mix_seed(rank_seed, ids::count_global(round)),
                 order,
                 refine_bounds,
-                max_degree,
                 threads,
                 blocks,
                 &mut view,
@@ -570,16 +679,16 @@ pub fn parallel_sclp_refine_with_scratch(
                     continue;
                 }
                 let cur = blocks[ids::node_index(v)];
-                map.clear();
+                rating.clear();
                 for (u, w) in graph.neighbors(v) {
-                    map.add(blocks[ids::node_index(u)], w);
+                    rating.add(blocks[ids::node_index(u)], w);
                 }
                 let cw = graph.node_weight(v) as i64;
                 let overloaded = view[ids::node_index(cur)] > lmax as i64;
                 let mut best: Node = if overloaded { Node::MAX } else { cur };
-                let mut best_w: Weight = if overloaded { 0 } else { map.get(cur) };
+                let mut best_w: Weight = if overloaded { 0 } else { rating.get(cur) };
                 let mut ties = 1u32;
-                for (c, w) in map.iter() {
+                for (c, w) in rating.iter() {
                     if c == cur {
                         continue;
                     }
@@ -655,9 +764,9 @@ pub fn parallel_sclp_refine_with_scratch(
                 continue;
             }
             let cw = graph.node_weight(v) as i64;
-            map.clear();
+            rating.clear();
             for (u, w) in graph.neighbors(v) {
-                map.add(blocks[ids::node_index(u)], w);
+                rating.add(blocks[ids::node_index(u)], w);
             }
             // Best target over *all* blocks: maximize connection, break
             // ties toward the lightest block; must fit the budget.
@@ -666,7 +775,7 @@ pub fn parallel_sclp_refine_with_scratch(
                 if b == cur || cw > budget[ids::node_index(b)] {
                     continue;
                 }
-                let conn = map.get(b);
+                let conn = rating.get(b);
                 let light = -view[ids::node_index(b)];
                 if best.map(|(c, l, _)| (conn, light) > (c, l)).unwrap_or(true) {
                     best = Some((conn, light, b));
@@ -716,7 +825,6 @@ fn refine_round_chunked(
     round_seed: u64,
     order: &[Node],
     bounds: &[usize],
-    max_degree: usize,
     threads: usize,
     blocks: &mut [Node],
     view: &mut [i64],
@@ -733,7 +841,7 @@ fn refine_round_chunked(
         let t0 = std::time::Instant::now(); // lint:instant-ok: per-chunk compute span, folded into phase stats at merge
         let mut rng =
             SmallRng::seed_from_u64(pgp_dmp::mix_seed(round_seed, ids::count_global(chunk_idx)));
-        let mut map = ClusterMap::with_max_degree(max_degree.max(1));
+        let mut rating = DenseRating::new(k);
         // This chunk's own view deltas and budget consumption, overlaid on
         // the round-start vectors for all in-chunk decisions.
         let mut dview = vec![0i64; k];
@@ -744,17 +852,17 @@ fn refine_round_chunked(
                 continue;
             }
             let cur = blocks_r[ids::node_index(v)];
-            map.clear();
+            rating.clear();
             for (u, w) in graph.neighbors(v) {
-                map.add(blocks_r[ids::node_index(u)], w);
+                rating.add(blocks_r[ids::node_index(u)], w);
             }
             let cw = graph.node_weight(v) as i64;
             let overloaded =
                 view_r[ids::node_index(cur)] + dview[ids::node_index(cur)] > lmax as i64;
             let mut best: Node = if overloaded { Node::MAX } else { cur };
-            let mut best_w: Weight = if overloaded { 0 } else { map.get(cur) };
+            let mut best_w: Weight = if overloaded { 0 } else { rating.get(cur) };
             let mut ties = 1u32;
-            for (c, w) in map.iter() {
+            for (c, w) in rating.iter() {
                 if c == cur {
                     continue;
                 }
