@@ -159,9 +159,7 @@ impl Default for SclpScratch {
 /// slot `s < n_all` stands for the global ID of visible node `s`, slot
 /// `n_all + i` for the `i`-th foreign label seen.
 struct SlotSpace {
-    /// Owned + ghost node count of the current graph.
-    n_all: usize,
-    /// Slot of each visible node's current label.
+    /// Slot of each visible node's current label (`n_all` entries).
     of_node: Vec<Node>,
     /// Localized cluster weight per slot: the summed weight of the visible
     /// nodes whose label maps to the slot.
@@ -178,7 +176,6 @@ impl SlotSpace {
     fn new(graph: &DistGraph, labels: &[Node]) -> Self {
         let n_all = labels.len();
         let mut slots = Self {
-            n_all,
             of_node: Vec::with_capacity(n_all),
             weight: vec![0; n_all],
             foreign: FxHashMap::default(),
@@ -225,7 +222,7 @@ impl SlotSpace {
     /// Global label of slot `s`.
     #[inline]
     fn label_of(&self, graph: &DistGraph, s: Node) -> Node {
-        match ids::node_index(s).checked_sub(self.n_all) {
+        match ids::node_index(s).checked_sub(self.of_node.len()) {
             None => graph.local_to_global(s),
             Some(i) => self.foreign_label[i],
         }
@@ -250,7 +247,7 @@ impl SlotSpace {
     #[cfg(debug_assertions)]
     fn assert_exact(&self, graph: &DistGraph, labels: &[Node]) {
         let mut recount = vec![0i64; self.len()];
-        for (l, &s) in (0..ids::node_of_index(self.n_all)).zip(&self.of_node) {
+        for (l, &s) in (0..).zip(&self.of_node) {
             assert_eq!(
                 self.label_of(graph, s),
                 labels[ids::node_index(l)],
