@@ -11,6 +11,14 @@
 //!
 //! The graphs have n = 9000, so at p ≤ 2 a PE's range splits into several
 //! worker-pool chunks and the chunked merge is exercised.
+//!
+//! The BA/SBM refinements start from a `global % K` round robin, where
+//! nearly every node sits on a block boundary. The mesh cells refine a
+//! row-major grid cut into contiguous ID ranges (stripes) instead, where
+//! nearly every node is interior, so they pin the boundary bookkeeping of
+//! the refinement: one start is balanced (the jagged stripe borders drift
+//! by tie breaks), the other overloads its middle stripe, which drains row
+//! by row across the p = 3 PE borders.
 
 use pgp_dmp::{run_config, Comm, DistGraph, RunConfig};
 use pgp_graph::{CsrGraph, GraphBuilder, Node, INVALID_NODE};
@@ -188,6 +196,87 @@ const fn cell(cluster: u64, cluster_constrained: u64, refine: u64, refine_repair
         refine,
         refine_repair,
     }
+}
+
+/// Grid for the mesh cells: 36 columns, so the stripe and PE borders fall
+/// mid-row and the borders are jagged.
+const MESH_NX: usize = 36;
+const MESH_NY: usize = 250;
+
+/// Digests of one mesh `(p, threads_per_pe)` cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct MeshCell {
+    /// Four balanced stripes, eight rounds.
+    stripes: u64,
+    /// Three stripes, the middle one (IDs 2950..6200) overloaded, eight
+    /// rounds. At p = 3 the PE borders (3000, 6000) lie a few rows inside
+    /// it, so its drain crosses them.
+    drain: u64,
+}
+
+/// Refines a striped start on the grid: `cuts` are the first IDs of
+/// stripes `1..k`. Returns the final blocks (owned + ghost) and the number
+/// of moves.
+fn mesh_refine(comm: &Comm, dg: &DistGraph, cuts: &[Node], seed: u64) -> (Vec<Node>, u64) {
+    let k = cuts.len() + 1;
+    let lmax = pgp_graph::lmax(dg.total_node_weight(), k, 0.03);
+    let mut blocks: Vec<Node> = (0..(dg.n_local() + dg.n_ghost()) as Node)
+        .map(|l| {
+            let gid = dg.local_to_global(l);
+            cuts.iter().filter(|&&c| c <= gid).count() as Node
+        })
+        .collect();
+    let stats = parallel_sclp_refine(comm, dg, k, lmax, 8, seed, &mut blocks);
+    (blocks, stats.moves)
+}
+
+/// `(p, threads_per_pe)` → mesh digests, computed before the refinement
+/// learned to skip interior nodes.
+#[rustfmt::skip]
+const PINNED_MESH: &[(usize, usize, MeshCell)] = &[
+    (1, 1, mesh_cell(17951074891963525917, 8824494227023568636)),
+    (1, 2, mesh_cell(13903484977514838940, 14083253971629101020)),
+    (2, 1, mesh_cell(3108093212506430752, 10677869734485946358)),
+    (2, 2, mesh_cell(3407865948486197248, 7715017664289178784)),
+    (3, 1, mesh_cell(5477291030488208000, 10276129975772938017)),
+    (3, 2, mesh_cell(10223633533863165248, 17353197495893522435)),
+    (4, 1, mesh_cell(4446386800228385669, 16290890157998550842)),
+    (4, 2, mesh_cell(13160637598596786041, 15119526600141338415)),
+];
+
+const fn mesh_cell(stripes: u64, drain: u64) -> MeshCell {
+    MeshCell { stripes, drain }
+}
+
+#[test]
+fn sclp_refine_from_striped_mesh_matches_pinned_digests() {
+    let g = pgp_gen::mesh::grid2d(MESH_NX, MESH_NY);
+    let mut got = Vec::new();
+    for p in 1..=4 {
+        for threads in [1, 2] {
+            let outs = run_t(p, threads, |comm| {
+                let dg = DistGraph::from_global(comm, &g);
+                (
+                    mesh_refine(comm, &dg, &[2250, 4500, 6750], 11),
+                    mesh_refine(comm, &dg, &[2950, 6200], 12),
+                )
+            });
+            let stripe_moves: u64 = outs.iter().map(|o| o.0 .1).sum();
+            let drain_moves: u64 = outs.iter().map(|o| o.1 .1).sum();
+            assert!(stripe_moves > 0, "p={p} T={threads}: stripes made no move");
+            assert!(drain_moves > 0, "p={p} T={threads}: drain made no move");
+            let cell = MeshCell {
+                stripes: digest(outs.iter().map(|o| &o.0 .0)),
+                drain: digest(outs.iter().map(|o| &o.1 .0)),
+            };
+            got.push((p, threads, cell));
+        }
+    }
+    assert_eq!(
+        got.as_slice(),
+        PINNED_MESH,
+        "mesh SCLP refinement moved; got:\n{got:#?}"
+    );
 }
 
 #[test]
