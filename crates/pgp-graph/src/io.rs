@@ -9,6 +9,7 @@
 //! with `%`.
 
 use crate::{CsrGraph, GraphBuilder, Node, Weight};
+use std::cmp::Ordering;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -50,7 +51,9 @@ fn perr(line: usize, msg: impl Into<String>) -> IoError {
     }
 }
 
-/// Reads a graph in METIS format from any reader.
+/// Reads a graph in METIS format from any reader. As in METIS, every edge
+/// must be listed by both endpoints with the same weight; an edge listed by
+/// only one, or with two different weights, is a [`IoError::Parse`].
 pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
     let mut lines = BufReader::new(reader).lines().enumerate();
 
@@ -93,6 +96,10 @@ pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
         None
     };
 
+    // Entries of edges with a higher-numbered neighbour (kept) and with a
+    // lower-numbered one (checked against the kept ones at the end).
+    let mut lower: Vec<EdgeEntry> = Vec::new();
+    let mut upper: Vec<EdgeEntry> = Vec::new();
     let mut node = 0usize;
     for (no, line) in lines {
         let line = line?;
@@ -130,11 +137,15 @@ pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
             } else {
                 1
             };
-            // Each undirected edge appears in both endpoint lines; keep one.
+            // Each undirected edge appears in both endpoint lines; keep the
+            // lower endpoint's entry.
             let u = node as Node;
             let v = (v - 1) as Node;
             if u < v {
                 builder.push_edge(u, v, w);
+                lower.push((u, v, w, no + 1));
+            } else if v < u {
+                upper.push((v, u, w, no + 1));
             }
         }
         node += 1;
@@ -145,6 +156,7 @@ pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
             format!("expected {n} adjacency lines, found {node}"),
         ));
     }
+    check_symmetric(lower, upper)?;
     let g = match node_weights {
         Some(nw) => builder.node_weights(nw).build(),
         None => builder.build(),
@@ -156,6 +168,63 @@ pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
         ));
     }
     Ok(g)
+}
+
+/// One adjacency-line entry of the edge `{lo, hi}` (0-based, `lo < hi`):
+/// `(lo, hi, weight, 1-based line)`.
+type EdgeEntry = (Node, Node, Weight, usize);
+
+/// Checks that every edge is listed by both endpoints with the same weight:
+/// the `i`-th entry of `{lo, hi}` in `lo`'s line must match the `i`-th one
+/// in `hi`'s line. The error names the line of the unmatched entry.
+fn check_symmetric(mut lower: Vec<EdgeEntry>, mut upper: Vec<EdgeEntry>) -> Result<(), IoError> {
+    // Stable sorts: repeated entries of one edge keep their line order.
+    lower.sort_by_key(|&(lo, hi, ..)| (lo, hi));
+    upper.sort_by_key(|&(lo, hi, ..)| (lo, hi));
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let order = match (lower.get(i), upper.get(j)) {
+            (None, None) => return Ok(()),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(a), Some(b)) => (a.0, a.1).cmp(&(b.0, b.1)),
+        };
+        match order {
+            Ordering::Equal => {
+                let ((lo, hi, w, line), (_, _, w2, line2)) = (lower[i], upper[j]);
+                if w != w2 {
+                    let msg = format!(
+                        "edge {}-{} has weight {w2} here but {w} on line {line}",
+                        hi + 1,
+                        lo + 1
+                    );
+                    return Err(perr(line2, msg));
+                }
+                i += 1;
+                j += 1;
+            }
+            Ordering::Less => {
+                let (lo, hi, _, line) = lower[i];
+                let msg = format!(
+                    "edge {}-{} is missing from node {}'s line",
+                    lo + 1,
+                    hi + 1,
+                    hi + 1
+                );
+                return Err(perr(line, msg));
+            }
+            Ordering::Greater => {
+                let (lo, hi, _, line) = upper[j];
+                let msg = format!(
+                    "edge {}-{} is missing from node {}'s line",
+                    hi + 1,
+                    lo + 1,
+                    lo + 1
+                );
+                return Err(perr(line, msg));
+            }
+        }
+    }
 }
 
 /// Writes a graph in METIS format. Weights are emitted only when
@@ -333,6 +402,36 @@ mod tests {
             read_metis(text.as_bytes()),
             Err(IoError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn metis_rejects_edge_listed_only_by_higher_node() {
+        let text = "3 1\n\n\n2\n"; // node 3 lists 2, node 2 lists nothing
+        let err = read_metis(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, IoError::Parse { line: 4, msg } if msg.contains("3-2")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metis_rejects_edge_listed_only_by_lower_node() {
+        let text = "3 1\n3\n\n\n"; // node 1 lists 3, node 3 lists nothing
+        let err = read_metis(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, IoError::Parse { line: 2, msg } if msg.contains("1-3")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metis_rejects_asymmetric_edge_weight() {
+        let text = "2 1 1\n2 3\n1 4\n"; // 1→2 has weight 3, 2→1 weight 4
+        let err = read_metis(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, IoError::Parse { line: 3, msg } if msg.contains("weight 4 here but 3 on line 2")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -165,6 +165,15 @@ impl DenseRating {
         self.touched.is_empty()
     }
 
+    /// The stored key when exactly one is stored.
+    #[inline]
+    pub fn only(&self) -> Option<Node> {
+        match self.touched[..] {
+            [c] => Some(c),
+            _ => None,
+        }
+    }
+
     /// Adds `w` to key `c`'s accumulated connection weight.
     #[inline]
     pub fn add(&mut self, c: Node, w: Weight) {
@@ -281,9 +290,13 @@ mod tests {
             }
         }
         d.clear();
+        assert_eq!(d.only(), None);
         d.add(3, 0);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![(3, 0)]);
         assert!(!d.is_empty());
+        assert_eq!(d.only(), Some(3), "a zero-weight entry still counts");
+        d.add(7, 2);
+        assert_eq!(d.only(), None);
     }
 
     #[test]

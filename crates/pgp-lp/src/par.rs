@@ -48,6 +48,35 @@
 //! memory for no gain (rebuilding them is O(n_all), which every call pays
 //! anyway to count the initial cluster weights).
 //!
+//! ## Boundary-only refinement
+//!
+//! Refinement rounds scan only owned nodes that may sit on a block
+//! boundary. An *interior* node (every neighbour in its own block) rates
+//! only its own block, so it neither moves nor draws from the RNG: its
+//! block stays `best`, or, when the block is overloaded, `best` stays
+//! unset. Skipping it is therefore exact, and the visit order is still
+//! shuffled over all owned nodes, so RNG consumption is unchanged. A
+//! per-call [`BoundarySet`] keeps one *dirty* bit per owned node, all set
+//! at entry:
+//!
+//! * a scanned node whose rating holds exactly one entry, its own block,
+//!   is cleared (one entry alone is not enough: every neighbour may sit in
+//!   one *other* block);
+//! * a move re-marks the mover's owned neighbours;
+//! * a ghost block change applied at the phase boundary re-marks the
+//!   ghost's owned neighbours, found through a reverse ghost → owned
+//!   index. A node's ghost arcs enter the index the first time it is
+//!   cleared, so the index only holds arcs of nodes that were clean once.
+//!
+//! The chunked `T ≥ 2` round skips by the round-start bits; workers
+//! return the nodes they found interior, and the merge clears *all* of
+//! them before it re-marks the neighbours of any accepted move, otherwise
+//! a node cleared by a later chunk would lose the mark of an earlier
+//! chunk's move. The forced balance repair after the rounds still scans
+//! every node of an overloaded block, because there an interior node can
+//! move to a non-adjacent block. Under `debug_assertions` every skipped
+//! node is checked to be interior.
+//!
 //! ## Intra-PE worker pool (hybrid parallelism, DESIGN.md §13)
 //!
 //! When the run grants a PE more than one thread
@@ -267,6 +296,100 @@ fn apply_weight_delta(exact: &mut [u64], delta: &[i64]) {
     }
 }
 
+/// Which owned nodes a refinement call must still scan (module docs).
+///
+/// A node is *clean* once a scan found all its neighbours in its own block;
+/// it turns *dirty* again as soon as a neighbour changes block. Every node
+/// starts dirty, so the clean nodes are always a subset of the interior.
+struct BoundarySet {
+    /// Bit per owned node: may have a neighbour in another block. A
+    /// bitset, so the per-visit test stays in cache while the scans of
+    /// boundary nodes stream through the adjacency.
+    dirty: Vec<u64>,
+    /// Per owned node: its ghost arcs are in the reverse index.
+    indexed: Vec<bool>,
+    /// Reverse ghost index, one linked list per ghost: the first entry of
+    /// ghost `n_local + i` in `arcs`, or `NO_ARC`.
+    head: Vec<u32>,
+    /// `(owned node, next entry of the same ghost)`.
+    arcs: Vec<(Node, u32)>,
+}
+
+const NO_ARC: u32 = u32::MAX;
+
+impl BoundarySet {
+    fn new(graph: &DistGraph) -> Self {
+        Self {
+            dirty: vec![u64::MAX; graph.n_local().div_ceil(64)],
+            indexed: vec![false; graph.n_local()],
+            head: vec![NO_ARC; graph.n_ghost()],
+            arcs: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn is_dirty(&self, v: Node) -> bool {
+        let i = ids::node_index(v);
+        (self.dirty[i / 64] >> (i % 64)) & 1 != 0
+    }
+
+    #[inline]
+    fn mark(&mut self, v: Node) {
+        let i = ids::node_index(v);
+        self.dirty[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Marks owned node `v` clean. Its ghost arcs enter the reverse index
+    /// the first time, so only ghosts next to a clean node are indexed.
+    /// Called right after a scan of `v`, so its arcs are still in cache.
+    fn clear(&mut self, graph: &DistGraph, v: Node) {
+        let i = ids::node_index(v);
+        self.dirty[i / 64] &= !(1 << (i % 64));
+        if std::mem::replace(&mut self.indexed[i], true) {
+            return;
+        }
+        for (u, _) in graph.neighbors(v) {
+            if graph.is_ghost(u) {
+                let g = ids::node_index(u) - self.indexed.len();
+                let entry = ids::offset_of_index(self.arcs.len());
+                self.arcs.push((v, self.head[g]));
+                self.head[g] = entry;
+            }
+        }
+    }
+
+    /// Owned node `v` changed block: its owned neighbours turn dirty.
+    fn mark_owned_neighbors(&mut self, graph: &DistGraph, v: Node) {
+        for (u, _) in graph.neighbors(v) {
+            if !graph.is_ghost(u) {
+                self.mark(u);
+            }
+        }
+    }
+
+    /// Ghost `l` changed block: its indexed owned neighbours turn dirty.
+    fn mark_ghost_neighbors(&mut self, l: Node) {
+        let mut entry = self.head[ids::node_index(l) - self.indexed.len()];
+        while entry != NO_ARC {
+            let (v, next) = self.arcs[ids::offset_index(entry)];
+            self.mark(v);
+            entry = next;
+        }
+    }
+}
+
+/// Debug-build check that a node skipped as clean is interior.
+#[cfg(debug_assertions)]
+fn assert_interior(graph: &DistGraph, blocks: &[Node], v: Node) {
+    let b = blocks[ids::node_index(v)];
+    assert!(
+        graph
+            .neighbors(v)
+            .all(|(u, _)| blocks[ids::node_index(u)] == b),
+        "refine skipped a boundary node ({v})"
+    );
+}
+
 /// Initial clustering labels: every node (owned and ghost) starts in its
 /// own singleton cluster, identified by *global* node ID.
 pub fn singleton_labels(graph: &DistGraph) -> Vec<Node> {
@@ -448,6 +571,9 @@ pub fn parallel_sclp_cluster_with_scratch(
 /// merging PE thread.
 struct ChunkMoves {
     moves: Vec<(Node, Node)>,
+    /// Refine mode: the scanned nodes found interior (empty in cluster
+    /// mode).
+    interior: Vec<Node>,
     elapsed_ns: u64,
 }
 
@@ -538,6 +664,7 @@ fn cluster_round_chunked(
         }
         ChunkMoves {
             moves,
+            interior: Vec::new(),
             elapsed_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
         }
     });
@@ -631,6 +758,7 @@ pub fn parallel_sclp_refine_with_scratch(
     let mut budget: Vec<i64> = vec![0; k];
     let mut view: Vec<i64> = vec![0; k];
     let mut delta: Vec<i64> = vec![0; k];
+    let mut boundary = BoundarySet::new(graph);
 
     let mut stats = SclpStats::default();
     for round in 0..iterations {
@@ -667,11 +795,19 @@ pub fn parallel_sclp_refine_with_scratch(
                 &mut view,
                 &mut budget,
                 &mut delta,
+                &mut boundary,
                 &mut exchange,
             )
         } else {
             let mut moved = 0u64;
             for &v in order.iter() {
+                // The flag first: it is one bit per node, the degree two
+                // words at a random offset.
+                if !boundary.is_dirty(v) {
+                    #[cfg(debug_assertions)]
+                    assert_interior(graph, blocks, v);
+                    continue;
+                }
                 if graph.degree(v) == 0 {
                     continue;
                 }
@@ -711,7 +847,10 @@ pub fn parallel_sclp_refine_with_scratch(
                     delta[ids::node_index(best)] += cw;
                     blocks[ids::node_index(v)] = best;
                     exchange.record(graph, v, best);
+                    boundary.mark_owned_neighbors(graph, v);
                     moved += 1;
+                } else if rating.only() == Some(cur) {
+                    boundary.clear(graph, v);
                 }
             }
             moved
@@ -721,7 +860,9 @@ pub fn parallel_sclp_refine_with_scratch(
         // Phase end: exact ghost labels, then exact weights via one delta
         // allreduce (own moves are counted by the owner, so the summed
         // deltas cover every node exactly once).
-        exchange.flush_sync(comm, graph, blocks);
+        exchange.flush_sync_with(comm, graph, blocks, |l, _, _| {
+            boundary.mark_ghost_neighbors(l);
+        });
         let global_delta = allreduce_sum_vec_i64(comm, std::mem::take(&mut delta));
         apply_weight_delta(&mut exact, &global_delta);
         delta = global_delta;
@@ -827,6 +968,7 @@ fn refine_round_chunked(
     view: &mut [i64],
     budget: &mut [i64],
     delta: &mut [i64],
+    boundary: &mut BoundarySet,
     exchange: &mut LabelExchange,
 ) -> u64 {
     let k = view.len();
@@ -834,6 +976,7 @@ fn refine_round_chunked(
     let blocks_r: &[Node] = blocks;
     let view_r: &[i64] = view;
     let budget_r: &[i64] = budget;
+    let boundary_r: &BoundarySet = boundary;
     let outs = chunk::run_chunks(threads, bounds, |chunk_idx, lo, hi| {
         let t0 = std::time::Instant::now(); // lint:instant-ok: per-chunk compute span, folded into phase stats at merge
         let mut rng =
@@ -844,7 +987,13 @@ fn refine_round_chunked(
         let mut dview = vec![0i64; k];
         let mut used = vec![0i64; k];
         let mut moves: Vec<(Node, Node)> = Vec::new();
+        let mut interior: Vec<Node> = Vec::new();
         for &v in &order[lo..hi] {
+            if !boundary_r.is_dirty(v) {
+                #[cfg(debug_assertions)]
+                assert_interior(graph, blocks_r, v);
+                continue;
+            }
             if graph.degree(v) == 0 {
                 continue;
             }
@@ -882,13 +1031,24 @@ fn refine_round_chunked(
                 dview[ids::node_index(best)] += cw;
                 used[ids::node_index(best)] += cw;
                 moves.push((v, best));
+            } else if rating.only() == Some(cur) {
+                interior.push(v);
             }
         }
         ChunkMoves {
             moves,
+            interior,
             elapsed_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
         }
     });
+    // Interior w.r.t. the round-start blocks: cleared for the whole round
+    // before any accepted move re-marks its neighbours, or a node cleared
+    // by a later chunk would lose the mark of an earlier chunk's move.
+    for out in &outs {
+        for &v in &out.interior {
+            boundary.clear(graph, v);
+        }
+    }
     // Ordered merge: the real budget is decremented as proposals are
     // accepted, so chunks jointly respect the same per-PE inflow cap the
     // sequential path enforces — skipped proposals simply stay put.
@@ -907,6 +1067,7 @@ fn refine_round_chunked(
             delta[ids::node_index(b)] += cw;
             blocks[ids::node_index(v)] = b;
             exchange.record(graph, v, b);
+            boundary.mark_owned_neighbors(graph, v);
             moved += 1;
         }
         comm.recorder()
