@@ -1,19 +1,34 @@
 //! Parallel contraction and uncoarsening (Section IV-C).
 //!
 //! Cluster IDs after label propagation are arbitrarily distributed in
-//! `0..n`. The contraction algorithm:
+//! `0..n`. PE `r` is *responsible* for the IDs of its own fine range
+//! `first..last` (`Ip` intervals). Every array below is sized by that
+//! range, by the labels the PE sees, or by `p` — never by `n` or `n'`. The
+//! contraction algorithm:
 //!
-//! 1. Every PE sends the distinct cluster IDs of its local nodes to the
-//!    PE *responsible* for that ID range (`Ip` intervals).
-//! 2. Responsible PEs count their distinct IDs; a prefix sum (`exscan`)
-//!    over those counts yields the renumbering `q` onto a contiguous
-//!    interval, and a reduction yields the coarse node count `n'`.
-//! 3. PEs query `q` for every cluster ID they hold (their own nodes' and
-//!    their ghosts'), which gives the fine→coarse mapping `C`.
-//! 4. Each PE builds its local weighted quotient arcs by hashing and sends
-//!    each arc `(cu, cv, w)` — and each node-weight contribution — to the
-//!    PE owning `cu` in the coarse block distribution.
-//! 5. Owners aggregate and assemble their coarse subgraph.
+//! 1. Every PE marks the distinct cluster IDs of its owned nodes in a
+//!    dense flag array over its range: IDs inside its own range locally,
+//!    the others ("foreign" labels, sorted and deduplicated) by message to
+//!    the responsible PE, which marks them in its own array.
+//! 2. One prefix walk over the flags numbers the marked IDs densely from
+//!    this PE's offset, the prefix sum (`exscan`) of the counts; a
+//!    reduction yields the coarse node count `n'`. Coarse IDs are thus
+//!    dense in label order.
+//! 3. Labels inside the range resolve locally. The foreign labels of owned
+//!    and ghost nodes are queried from their responsible PEs; owners are
+//!    label-ordered, so the replies arrive aligned with the sorted query.
+//!    This gives the fine→coarse mapping `C`.
+//! 4. Every label the PE sees gets a *slot*: foreign labels below the
+//!    range, then the range, then foreign labels above it — monotone in
+//!    the label, hence in the coarse ID. The owned nodes are counting-
+//!    sorted by slot; per slot, a [`DenseRating`] over slots sums the
+//!    neighbours' arc weights, its small touch list is sorted, and the
+//!    quotient arcs `(cu, cv, w)` and `cu`'s node weight go straight into
+//!    the send buffer of the PE owning `cu` in the coarse distribution.
+//!    Slots are visited in order, so every buffer is sorted by `(cu, cv)`.
+//! 5. Owners merge the `p` sorted runs (a stable sort detects them), sum
+//!    duplicate arcs, and hand the sorted rows to
+//!    [`DistGraph::from_rows`].
 //!
 //! Uncoarsening answers "which block is my coarse representative in" with
 //! one query/answer `alltoallv` round-trip, also per the paper.
@@ -22,7 +37,8 @@ use pgp_dmp::collectives::{allreduce_sum, alltoallv, exscan_sum};
 use pgp_dmp::dgraph::BlockDist;
 use pgp_dmp::{Comm, DistGraph};
 use pgp_graph::ids;
-use pgp_graph::{Node, Weight};
+use pgp_graph::{Node, Weight, INVALID_NODE};
+use pgp_lp::DenseRating;
 use rustc_hash::FxHashMap;
 
 /// Result of one parallel contraction step, from one PE's perspective.
@@ -79,105 +95,198 @@ pub fn parallel_contract(comm: &Comm, graph: &DistGraph, labels: &[Node]) -> Par
     let n_all = n_local + graph.n_ghost();
     assert_eq!(labels.len(), n_all, "labels must cover owned + ghost nodes");
     let p = comm.size();
+    let rank = comm.rank();
     let fine_dist = graph.dist();
+    let first = fine_dist.first(rank);
+    let last = fine_dist.last_excl(rank);
+    let in_range = |c: Node| (first..last).contains(&ids::node_global(c));
 
-    // -- Step 1: distinct local cluster IDs to their responsible PEs. -----
-    let mut local_ids: Vec<Node> = labels[..n_local].to_vec();
-    local_ids.sort_unstable();
-    local_ids.dedup();
-    let mut to_resp: Vec<Vec<Node>> = vec![Vec::new(); p];
-    for &c in &local_ids {
-        to_resp[fine_dist.owner(c)].push(c);
-    }
-    let received = alltoallv(comm, to_resp);
-
-    // -- Step 2: count distinct IDs in my responsibility interval; build q.
-    let mut my_ids: Vec<Node> = received.into_iter().flatten().collect();
-    my_ids.sort_unstable();
-    my_ids.dedup();
-    let my_count = ids::count_global(my_ids.len());
-    let offset = exscan_sum(comm, my_count);
-    let n_coarse = allreduce_sum(comm, my_count);
-    let q: FxHashMap<Node, Node> = my_ids
+    // Foreign labels (outside this PE's range), sorted and deduplicated.
+    // `node_slot[l]` holds the position of node `l`'s label in `foreign`
+    // until the slots are numbered below.
+    let mut keyed: Vec<u64> = labels
         .iter()
         .enumerate()
-        .map(|(i, &c)| (c, ids::global_node(offset + ids::count_global(i))))
+        .filter(|&(_, &c)| !in_range(c))
+        .map(|(l, &c)| (ids::node_global(c) << 32) | ids::count_global(l))
         .collect();
-
-    // -- Step 3: resolve C(v) = q(label(v)) for every local + ghost node.
-    // (Not `query_owner_values`: q is keyed by cluster ID on the
-    // *responsible* PE, not by owned-node index.)
-    let mut want: Vec<Node> = labels.to_vec();
-    want.sort_unstable();
-    want.dedup();
-    let q_of: Vec<Node> = {
-        // Send the wanted IDs to responsible PEs; they answer from `q`.
-        let mut buckets: Vec<Vec<Node>> = vec![Vec::new(); p];
-        let mut origin: Vec<(usize, usize)> = Vec::with_capacity(want.len());
-        for &c in &want {
-            let owner = fine_dist.owner(c);
-            origin.push((owner, buckets[owner].len()));
-            buckets[owner].push(c);
+    keyed.sort_unstable();
+    let mut foreign: Vec<Node> = Vec::new();
+    let mut held_by_owned: Vec<bool> = Vec::new();
+    let mut node_slot: Vec<Node> = vec![0; n_all];
+    for &k in &keyed {
+        let c = ids::global_node(k >> 32);
+        let l = ids::global_index(k & 0xFFFF_FFFF);
+        if foreign.last() != Some(&c) {
+            foreign.push(c);
+            held_by_owned.push(false);
         }
-        let incoming = alltoallv(comm, buckets);
-        let answers: Vec<Vec<Node>> = incoming
-            .into_iter()
-            .map(|qs| qs.into_iter().map(|c| q[&c]).collect())
-            .collect();
-        let replies = alltoallv(comm, answers);
-        origin
-            .into_iter()
-            .map(|(owner, idx)| replies[owner][idx])
-            .collect()
-    };
-    let q_map: FxHashMap<Node, Node> = want.iter().copied().zip(q_of).collect();
-    let mapping: Vec<Node> = labels.iter().map(|c| q_map[c]).collect();
+        node_slot[l] = ids::node_of_index(foreign.len() - 1);
+        if l < n_local {
+            held_by_owned[foreign.len() - 1] = true;
+        }
+    }
+    drop(keyed);
 
-    // -- Step 4: local quotient arcs + weight contributions, redistributed
-    //    to the coarse owners.
+    // -- Step 1: mark the cluster IDs of owned nodes on their responsible
+    //    PEs: in-range IDs locally, foreign ones by message.
+    let mut range_coarse: Vec<Node> = vec![INVALID_NODE; n_local];
+    let mut my_count = 0u64;
+    let mut mark = |c: Node| {
+        let x = &mut range_coarse[ids::global_index(ids::node_global(c) - first)];
+        if *x == INVALID_NODE {
+            *x = 0;
+            my_count += 1;
+        }
+    };
+    for &c in labels[..n_local].iter().filter(|&&c| in_range(c)) {
+        mark(c);
+    }
+    let mut to_resp: Vec<Vec<Node>> = vec![Vec::new(); p];
+    for (&c, _) in foreign.iter().zip(&held_by_owned).filter(|(_, &h)| h) {
+        to_resp[fine_dist.owner(c)].push(c);
+    }
+    for c in alltoallv(comm, to_resp).into_iter().flatten() {
+        mark(c);
+    }
+
+    // -- Step 2: one prefix walk numbers the marked IDs densely from this
+    //    PE's offset (`exscan`); a reduction yields `n'`.
+    let offset = exscan_sum(comm, my_count);
+    let n_coarse = allreduce_sum(comm, my_count);
+    let marked = range_coarse.iter_mut().filter(|x| **x != INVALID_NODE);
+    for (id, x) in (offset..).zip(marked) {
+        *x = ids::global_node(id);
+    }
+
+    // -- Step 3: query the coarse IDs of the foreign labels. Owners are
+    //    label-ordered, so the replies, concatenated in rank order, line
+    //    up with `foreign`.
+    let mut queries: Vec<Vec<Node>> = vec![Vec::new(); p];
+    for &c in &foreign {
+        queries[fine_dist.owner(c)].push(c);
+    }
+    let answers: Vec<Vec<Node>> = alltoallv(comm, queries)
+        .into_iter()
+        .map(|qs| {
+            qs.into_iter()
+                .map(|c| range_coarse[ids::global_index(ids::node_global(c) - first)])
+                .collect()
+        })
+        .collect();
+    let foreign_coarse: Vec<Node> = alltoallv(comm, answers).into_iter().flatten().collect();
+
+    // Slots: foreign labels below the range, the range, foreign labels
+    // above it. The order is monotone in the label, hence in the coarse ID.
+    let n_below = foreign.partition_point(|&c| ids::node_global(c) < first);
+    let mut slot_coarse: Vec<Node> = Vec::with_capacity(foreign.len() + n_local);
+    slot_coarse.extend_from_slice(&foreign_coarse[..n_below]);
+    slot_coarse.extend_from_slice(&range_coarse);
+    slot_coarse.extend_from_slice(&foreign_coarse[n_below..]);
+    // Free what later steps do not read before the big buffers grow.
+    drop((foreign, held_by_owned, range_coarse, foreign_coarse));
+    for (s, &c) in node_slot.iter_mut().zip(labels) {
+        *s = if in_range(c) {
+            ids::node_of_index(n_below) + ids::global_node(ids::node_global(c) - first)
+        } else if ids::node_index(*s) < n_below {
+            *s
+        } else {
+            *s + ids::node_of_index(n_local)
+        };
+    }
+    let mapping: Vec<Node> = node_slot
+        .iter()
+        .map(|&s| slot_coarse[ids::node_index(s)])
+        .collect();
+    assert!(
+        !mapping.contains(&INVALID_NODE),
+        "a label has no coarse ID: a ghost's label is not held by any owned node"
+    );
+
+    // -- Step 4: counting-sort the owned nodes by slot, aggregate each
+    //    slot's quotient arcs in a dense rating, and emit them in slot
+    //    order, so every send buffer is sorted by `(cu, cv)`.
+    let n_slots = slot_coarse.len();
+    let mut slot_start: Vec<usize> = vec![0; n_slots + 1];
+    for &s in &node_slot[..n_local] {
+        slot_start[ids::node_index(s) + 1] += 1;
+    }
+    for i in 1..=n_slots {
+        slot_start[i] += slot_start[i - 1];
+    }
+    let mut members: Vec<Node> = vec![0; n_local];
+    let mut fill = slot_start.clone();
+    for (u, &s) in node_slot[..n_local].iter().enumerate() {
+        let at = &mut fill[ids::node_index(s)];
+        members[*at] = ids::node_of_index(u);
+        *at += 1;
+    }
+    drop(fill);
+
     let coarse_dist = BlockDist::new(n_coarse, p);
-    let mut arc_agg: FxHashMap<(Node, Node), Weight> = FxHashMap::default();
-    for u in 0..ids::node_of_index(n_local) {
-        let cu = mapping[ids::node_index(u)];
-        for (v, w) in graph.neighbors(u) {
-            let cv = mapping[ids::node_index(v)];
-            if cu != cv {
-                *arc_agg.entry((cu, cv)).or_insert(0) += w;
+    let mut rating = DenseRating::new(n_slots);
+    let mut row: Vec<(Node, Weight)> = Vec::new();
+    let mut arc_sends: Vec<Vec<(Node, Node, Weight)>> = vec![Vec::new(); p];
+    let mut weight_sends: Vec<Vec<(Node, Weight)>> = vec![Vec::new(); p];
+    for (s, range) in slot_start.windows(2).enumerate() {
+        if range[0] == range[1] {
+            continue;
+        }
+        let s = ids::node_of_index(s);
+        let mut cluster_weight: Weight = 0;
+        for &u in &members[range[0]..range[1]] {
+            cluster_weight += graph.node_weight(u);
+            for (v, w) in graph.neighbors(u) {
+                let sv = node_slot[ids::node_index(v)];
+                if sv != s {
+                    rating.add(sv, w);
+                }
             }
         }
+        row.clear();
+        row.extend(rating.iter());
+        rating.clear();
+        row.sort_unstable_by_key(|&(sv, _)| sv);
+        let cu = slot_coarse[ids::node_index(s)];
+        let owner = coarse_dist.owner(cu);
+        weight_sends[owner].push((cu, cluster_weight));
+        arc_sends[owner].extend(
+            row.iter()
+                .map(|&(sv, w)| (cu, slot_coarse[ids::node_index(sv)], w)),
+        );
     }
-    let mut weight_agg: FxHashMap<Node, Weight> = FxHashMap::default();
-    for u in 0..ids::node_of_index(n_local) {
-        *weight_agg.entry(mapping[ids::node_index(u)]).or_insert(0) += graph.node_weight(u);
-    }
-    let mut arc_sends: Vec<Vec<(Node, Node, Weight)>> = vec![Vec::new(); p];
-    for (&(cu, cv), &w) in &arc_agg {
-        arc_sends[coarse_dist.owner(cu)].push((cu, cv, w));
-    }
-    let mut weight_sends: Vec<Vec<(Node, Weight)>> = vec![Vec::new(); p];
-    for (&c, &w) in &weight_agg {
-        weight_sends[coarse_dist.owner(c)].push((c, w));
-    }
+    drop((rating, members, slot_start, node_slot, slot_coarse));
     let arc_recv = alltoallv(comm, arc_sends);
     let weight_recv = alltoallv(comm, weight_sends);
 
-    // -- Step 5: aggregate owned arcs/weights and assemble the subgraph.
+    // -- Step 5: merge the `p` sorted runs (a stable sort detects them),
+    //    sum duplicate arcs, and hand the sorted rows to the assembly.
+    let first_coarse = coarse_dist.first(rank);
+    let n_owned = coarse_dist.count(rank);
     let mut arcs: Vec<(Node, Node, Weight)> = arc_recv.into_iter().flatten().collect();
-    arcs.sort_unstable();
-    let mut merged: Vec<(Node, Node, Weight)> = Vec::with_capacity(arcs.len());
+    arcs.sort_by_key(|&(cu, cv, _)| (cu, cv));
+    let mut row_end: Vec<u64> = vec![0; n_owned + 1];
+    let mut targets: Vec<Node> = Vec::with_capacity(arcs.len());
+    let mut weights: Vec<Weight> = Vec::with_capacity(arcs.len());
+    let mut prev: Option<(Node, Node)> = None;
     for (cu, cv, w) in arcs {
-        match merged.last_mut() {
-            Some((lu, lv, lw)) if *lu == cu && *lv == cv => *lw += w,
-            _ => merged.push((cu, cv, w)),
+        if prev == Some((cu, cv)) {
+            *weights.last_mut().expect("a previous arc exists") += w;
+            continue;
         }
+        prev = Some((cu, cv));
+        row_end[ids::global_index(ids::node_global(cu) - first_coarse) + 1] += 1;
+        targets.push(cv);
+        weights.push(w);
     }
-    let first = coarse_dist.first(comm.rank());
-    let n_owned = coarse_dist.count(comm.rank());
+    for i in 1..=n_owned {
+        row_end[i] += row_end[i - 1];
+    }
     let mut owned_weights: Vec<Weight> = vec![0; n_owned];
     for (c, w) in weight_recv.into_iter().flatten() {
-        owned_weights[ids::global_index(ids::node_global(c) - first)] += w;
+        owned_weights[ids::global_index(ids::node_global(c) - first_coarse)] += w;
     }
-    let coarse = DistGraph::from_arcs(comm, n_coarse, owned_weights, merged);
+    let coarse = DistGraph::from_rows(comm, n_coarse, owned_weights, row_end, targets, weights);
     #[cfg(feature = "validate")]
     {
         crate::validate::assert_graph_valid(comm, &coarse, "parallel_contract coarse graph");

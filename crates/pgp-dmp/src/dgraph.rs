@@ -58,6 +58,40 @@ impl BlockDist {
     }
 }
 
+/// The index range of CSR row `r` (a window of two `xadj` entries).
+fn row_range(r: &[u64]) -> std::ops::Range<usize> {
+    ids::global_index(r[0])..ids::global_index(r[1])
+}
+
+/// True iff the arcs in `row` are sorted by `(target, weight)`.
+fn row_is_sorted(targets: &[Node], weights: &[Weight], row: std::ops::Range<usize>) -> bool {
+    (row.start + 1..row.end).all(|i| (targets[i - 1], weights[i - 1]) <= (targets[i], weights[i]))
+}
+
+/// Sorts every CSR row by `(target, weight)`, touching only the rows that
+/// are not already in that order.
+fn sort_rows(xadj: &[u64], targets: &mut [Node], weights: &mut [Weight]) {
+    let mut arcs: Vec<(Node, Weight)> = Vec::new();
+    for r in xadj.windows(2) {
+        let row = row_range(r);
+        if row_is_sorted(targets, weights, row.clone()) {
+            continue;
+        }
+        arcs.clear();
+        arcs.extend(
+            targets[row.clone()]
+                .iter()
+                .copied()
+                .zip(weights[row.clone()].iter().copied()),
+        );
+        arcs.sort_unstable();
+        for (i, (t, w)) in row.zip(arcs.iter().copied()) {
+            targets[i] = t;
+            weights[i] = w;
+        }
+    }
+}
+
 /// A PE-local view of a distributed graph: owned nodes `0..n_local`,
 /// ghost nodes `n_local..n_local+n_ghost` (ghosts have weights and labels
 /// but no stored adjacency).
@@ -97,110 +131,124 @@ impl DistGraph {
     ///
     /// This is the test/benchmark "scatter": the global graph is only read
     /// during construction; all algorithms afterwards touch local state and
-    /// messages exclusively.
+    /// messages exclusively. The owned rows are sliced straight out of the
+    /// input CSR; a row is sorted only if it is not already in
+    /// `(target, weight)` order ([`CsrGraph::from_parts`] does not promise
+    /// sorted rows).
     pub fn from_global(comm: &Comm, global: &CsrGraph) -> Self {
         let dist = BlockDist::new(ids::count_global(global.n()), comm.size());
         let rank = comm.rank();
-        let first = dist.first(rank);
-        let last = dist.last_excl(rank);
-        let n_local = ids::global_index(last - first);
+        let first = ids::global_index(dist.first(rank));
+        let last = ids::global_index(dist.last_excl(rank));
 
-        let mut arcs: Vec<(Node, Node, Weight)> = Vec::new();
-        for g in first..last {
-            for (v, w) in global.neighbors_weighted(ids::global_node(g)) {
-                arcs.push((ids::global_node(g), v, w));
-            }
-        }
-        let owned_weights: Vec<Weight> = (first..last)
-            .map(|g| global.node_weight(ids::global_node(g)))
-            .collect();
+        let gx = &global.xadj()[first..=last];
+        let (lo, hi) = (
+            ids::global_index(gx[0]),
+            ids::global_index(gx[last - first]),
+        );
+        let xadj: Vec<u64> = gx.iter().map(|&x| x - gx[0]).collect();
+        let mut adjncy = global.adjncy()[lo..hi].to_vec();
+        let mut adjwgt = global.adjwgt()[lo..hi].to_vec();
+        sort_rows(&xadj, &mut adjncy, &mut adjwgt);
+        let owned_weights = global.node_weights()[first..last].to_vec();
         // Ghost weights can be read straight off the shared input here; the
         // fully distributed constructor fetches them by message instead.
-        Self::assemble(comm, dist, n_local, owned_weights, arcs, |g| {
-            global.node_weight(g)
-        })
+        Self::assemble(
+            comm,
+            dist,
+            owned_weights,
+            xadj,
+            adjncy,
+            adjwgt,
+            |ghosts, _| ghosts.iter().map(|&g| global.node_weight(g)).collect(),
+        )
     }
 
-    /// Fully distributed construction from local arcs: `arcs` holds, for
-    /// every *owned* node `u` (global ID), all arcs `(u, v_global, w)`.
-    /// Ghost node weights are fetched from their owners via one `alltoallv`.
-    pub fn from_arcs(
+    /// Fully distributed construction from owned rows in CSR form: the
+    /// arcs of owned node `l` are `targets[xadj[l]..xadj[l + 1]]` (global
+    /// IDs) with the parallel `weights`, each row sorted by
+    /// `(target, weight)`. Ghost node weights are fetched from their owners
+    /// via one `alltoallv`.
+    pub fn from_rows(
         comm: &Comm,
         n_global: u64,
         owned_weights: Vec<Weight>,
-        arcs: Vec<(Node, Node, Weight)>,
+        xadj: Vec<u64>,
+        targets: Vec<Node>,
+        weights: Vec<Weight>,
     ) -> Self {
         let dist = BlockDist::new(n_global, comm.size());
-        let rank = comm.rank();
-        let n_local = dist.count(rank);
-        assert_eq!(owned_weights.len(), n_local, "owned weight count mismatch");
-
-        // Discover ghosts, then query their weights from their owners.
-        let first = dist.first(rank);
-        let last = dist.last_excl(rank);
-        let mut ghosts: Vec<Node> = arcs
-            .iter()
-            .map(|&(_, v, _)| v)
-            .filter(|&v| ids::node_global(v) < first || ids::node_global(v) >= last)
-            .collect();
-        ghosts.sort_unstable();
-        ghosts.dedup();
-        let mut queries: Vec<Vec<Node>> = vec![Vec::new(); comm.size()];
-        for &g in &ghosts {
-            queries[dist.owner(g)].push(g);
-        }
-        let incoming = alltoallv(comm, queries.clone());
-        let answers: Vec<Vec<Weight>> = incoming
-            .into_iter()
-            .map(|q| {
-                q.into_iter()
-                    .map(|g| owned_weights[ids::global_index(ids::node_global(g) - first)])
+        let first = dist.first(comm.rank());
+        Self::assemble(
+            comm,
+            dist,
+            owned_weights,
+            xadj,
+            targets,
+            weights,
+            |ghosts, owned| {
+                let mut queries: Vec<Vec<Node>> = vec![Vec::new(); comm.size()];
+                let mut origin: Vec<(usize, usize)> = Vec::with_capacity(ghosts.len());
+                for &g in ghosts {
+                    let owner = dist.owner(g);
+                    origin.push((owner, queries[owner].len()));
+                    queries[owner].push(g);
+                }
+                let answers: Vec<Vec<Weight>> = alltoallv(comm, queries)
+                    .into_iter()
+                    .map(|q| {
+                        q.into_iter()
+                            .map(|g| owned[ids::global_index(ids::node_global(g) - first)])
+                            .collect()
+                    })
+                    .collect();
+                let replies = alltoallv(comm, answers);
+                origin
+                    .into_iter()
+                    .map(|(owner, idx)| replies[owner][idx])
                     .collect()
-            })
-            .collect();
-        let replies = alltoallv(comm, answers);
-        let mut ghost_weight: FxHashMap<Node, Weight> =
-            FxHashMap::with_capacity_and_hasher(ghosts.len(), Default::default());
-        for (pe, qs) in queries.iter().enumerate() {
-            for (i, &g) in qs.iter().enumerate() {
-                ghost_weight.insert(g, replies[pe][i]);
-            }
-        }
-        Self::assemble(comm, dist, n_local, owned_weights, arcs, |g| {
-            ghost_weight[&g]
-        })
+            },
+        )
     }
 
     /// Shared assembly: builds the local CSR, ghost tables and interface
-    /// structure from the arc list. `ghost_weight_of` resolves weights of
-    /// non-owned endpoints.
+    /// structure from the owned rows (`xadj`, global `adjncy` targets,
+    /// `adjwgt`; each row sorted by `(target, weight)`). Targets are
+    /// translated to local IDs in place; ghosts are numbered in order of
+    /// first appearance over the rows. `ghost_weights` maps the ghost
+    /// global IDs (and the owned weights) to the ghost weights.
     fn assemble(
         comm: &Comm,
         dist: BlockDist,
-        n_local: usize,
         owned_weights: Vec<Weight>,
-        mut arcs: Vec<(Node, Node, Weight)>,
-        ghost_weight_of: impl Fn(Node) -> Weight,
+        xadj: Vec<u64>,
+        mut adjncy: Vec<Node>,
+        adjwgt: Vec<Weight>,
+        ghost_weights: impl FnOnce(&[Node], &[Weight]) -> Vec<Weight>,
     ) -> Self {
         let rank = comm.rank();
         let first = dist.first(rank);
         let last = dist.last_excl(rank);
-        arcs.sort_unstable();
+        let n_local = xadj.len() - 1;
+        assert_eq!(n_local, dist.count(rank), "row count mismatch");
+        assert_eq!(owned_weights.len(), n_local, "owned weight count mismatch");
+        assert_eq!(
+            ids::global_index(xadj[n_local]),
+            adjncy.len(),
+            "xadj must end at the arc count"
+        );
+        assert_eq!(adjncy.len(), adjwgt.len(), "target/weight length mismatch");
+        debug_assert!(
+            xadj.windows(2)
+                .all(|r| row_is_sorted(&adjncy, &adjwgt, row_range(r))),
+            "rows must be sorted by (target, weight)"
+        );
 
-        // Ghost discovery in first-appearance order is fine; we sort arcs so
-        // the order is deterministic.
         let mut ghost_global: Vec<Node> = Vec::new();
         let mut ghost_map: FxHashMap<Node, Node> = FxHashMap::default();
-        let mut xadj = vec![0u64; n_local + 1];
-        let mut adjncy = Vec::with_capacity(arcs.len());
-        let mut adjwgt = Vec::with_capacity(arcs.len());
-        for &(u, v, w) in &arcs {
-            let lu = ids::global_index(ids::node_global(u) - first);
-            debug_assert!(
-                ids::node_global(u) >= first && ids::node_global(u) < last,
-                "arc source not owned"
-            );
-            let lv = if ids::node_global(v) >= first && ids::node_global(v) < last {
+        for t in &mut adjncy {
+            let v = *t;
+            *t = if ids::node_global(v) >= first && ids::node_global(v) < last {
                 ids::global_node(ids::node_global(v) - first)
             } else {
                 *ghost_map.entry(v).or_insert_with(|| {
@@ -208,20 +256,15 @@ impl DistGraph {
                     ids::node_of_index(n_local + ghost_global.len() - 1)
                 })
             };
-            xadj[lu + 1] += 1;
-            adjncy.push(lv);
-            adjwgt.push(w);
-        }
-        for i in 0..n_local {
-            xadj[i + 1] += xadj[i];
         }
 
         let ghost_owner: Vec<u32> = ghost_global
             .iter()
             .map(|&g| ids::pe_rank(dist.owner(g)))
             .collect();
+        let ghost_w = ghost_weights(&ghost_global, &owned_weights);
         let mut node_weight = owned_weights;
-        node_weight.extend(ghost_global.iter().map(|&g| ghost_weight_of(g)));
+        node_weight.extend(ghost_w);
 
         // Interface structure: per owned node, distinct adjacent PEs.
         let mut iface_xadj = vec![0u32; n_local + 1];
@@ -671,19 +714,25 @@ mod tests {
     }
 
     #[test]
-    fn from_arcs_matches_from_global() {
+    fn from_rows_matches_from_global() {
         let g = ring(9);
         run(3, |comm| {
             let a = DistGraph::from_global(comm, &g);
-            // Reconstruct via the fully distributed path.
-            let mut arcs = Vec::new();
+            // Reconstruct via the fully distributed path: rows in global
+            // target order.
+            let (mut xadj, mut targets, mut weights) = (vec![0u64], Vec::new(), Vec::new());
             for u in 0..a.n_local() as Node {
-                let gu = a.local_to_global(u);
-                for (v, w) in a.neighbors(u) {
-                    arcs.push((gu, a.local_to_global(v), w));
-                }
+                let mut row: Vec<(Node, Weight)> = a
+                    .neighbors(u)
+                    .map(|(v, w)| (a.local_to_global(v), w))
+                    .collect();
+                row.sort_unstable();
+                targets.extend(row.iter().map(|&(v, _)| v));
+                weights.extend(row.iter().map(|&(_, w)| w));
+                xadj.push(targets.len() as u64);
             }
-            let b = DistGraph::from_arcs(comm, 9, a.owned_weights().to_vec(), arcs);
+            let b =
+                DistGraph::from_rows(comm, 9, a.owned_weights().to_vec(), xadj, targets, weights);
             assert_eq!(a.n_local(), b.n_local());
             assert_eq!(a.n_ghost(), b.n_ghost());
             assert_eq!(a.total_edge_weight(), b.total_edge_weight());
