@@ -32,7 +32,9 @@
 //!   with the owner's labels; claimed block weights equal an allreduce
 //!   recount.
 //! * **Contraction** — the fine→coarse map is surjective onto the coarse
-//!   node set and node-weight preserving per coarse node.
+//!   node set and node-weight preserving per coarse node, and the fine
+//!   edge weight equals the coarse edge weight plus the weight contracted
+//!   inside clusters.
 //! * **Recovery consensus** — after a supervised recovery, every PE holds
 //!   the same dead-rank verdict and resume point, and the verdict is
 //!   sorted, in range, and leaves survivors.
@@ -340,8 +342,10 @@ pub fn validate_dist_partition(
 }
 
 /// Validates one contraction step: `mapping` (fine owned + ghost → global
-/// coarse ID) must be surjective onto the coarse node set and preserve
-/// node weight per coarse node. Collective over `comm`.
+/// coarse ID) must be surjective onto the coarse node set, preserve node
+/// weight per coarse node, and conserve edge weight: the fine total equals
+/// the coarse total plus the weight of the fine edges contracted inside a
+/// cluster. Collective over `comm`.
 pub fn validate_contraction(
     comm: &Comm,
     fine: &DistGraph,
@@ -356,6 +360,7 @@ pub fn validate_contraction(
             mapping.len()
         ));
         let _ = alltoallv::<(Node, Weight)>(comm, vec![Vec::new(); comm.size()]);
+        let _ = allreduce_sum_vec(comm, vec![0; 3]);
         return finish(comm, errs);
     }
 
@@ -372,7 +377,8 @@ pub fn validate_contraction(
     // Weight preservation + surjectivity: owned fine nodes send
     // (coarse ID, weight) to the coarse owner, which compares the
     // aggregate against its stored coarse node weights. A coarse node
-    // receiving no contribution at all breaks surjectivity.
+    // receiving no contribution at all breaks surjectivity (members are
+    // counted, not weighed: a cluster of zero-weight nodes is valid).
     let coarse_dist = coarse.dist();
     let mut sends: Vec<Vec<(Node, Weight)>> = vec![Vec::new(); comm.size()];
     for l in 0..ids::node_of_index(fine.n_local()) {
@@ -381,20 +387,21 @@ pub fn validate_contraction(
     }
     let incoming = alltoallv(comm, sends);
     let first = coarse.first_global();
-    let mut sums: Vec<Weight> = vec![0; coarse.n_local()];
+    let mut members: Vec<(u64, Weight)> = vec![(0, 0); coarse.n_local()];
     for contribs in incoming {
         for (c, w) in contribs {
             let idx = ids::global_index(ids::node_global(c) - first);
-            if idx >= sums.len() {
+            let Some(m) = members.get_mut(idx) else {
                 errs.push(format!("coarse ID {c} routed to the wrong owner"));
                 continue;
-            }
-            sums[idx] += w;
+            };
+            m.0 += 1;
+            m.1 += w;
         }
     }
-    for (i, (&got, &want)) in sums.iter().zip(coarse.owned_weights()).enumerate() {
+    for (i, (&(count, got), &want)) in members.iter().zip(coarse.owned_weights()).enumerate() {
         let cid = first + ids::count_global(i);
-        if got == 0 {
+        if count == 0 {
             errs.push(format!(
                 "coarse node {cid} has no fine members (mapping not surjective)"
             ));
@@ -411,6 +418,28 @@ pub fn validate_contraction(
             "contraction changed total node weight: {} -> {}",
             fine.total_node_weight(),
             coarse.total_node_weight()
+        ));
+    }
+
+    // Edge-weight conservation, recounted from the arc arrays (both arc
+    // directions, so every sum is twice the edge weight).
+    let mut internal: Weight = 0;
+    for u in 0..ids::node_of_index(fine.n_local()) {
+        let cu = mapping[ids::node_index(u)];
+        for (v, w) in fine.neighbors(u) {
+            if mapping[ids::node_index(v)] == cu {
+                internal += w;
+            }
+        }
+    }
+    let fine_arcs: Weight = fine.adjwgt_raw().iter().sum();
+    let coarse_arcs: Weight = coarse.adjwgt_raw().iter().sum();
+    let sums = allreduce_sum_vec(comm, vec![fine_arcs, coarse_arcs, internal]);
+    if comm.rank() == 0 && sums[0] != sums[1] + sums[2] {
+        errs.push(format!(
+            "edge weight not conserved: fine {} != coarse {} + contracted {} \
+             (arc sums, each edge counted twice)",
+            sums[0], sums[1], sums[2]
         ));
     }
 
@@ -726,6 +755,100 @@ mod tests {
         for r in reports {
             assert!(r.is_err(), "out-of-range block must be detected");
         }
+    }
+
+    /// Validates a sequential contraction of `g` by `clustering`, with
+    /// both sides scattered by `from_global` on `p` PEs; `corrupt` may
+    /// tamper with a PE's coarse graph or mapping first.
+    fn check_contraction(
+        g: &CsrGraph,
+        clustering: &[Node],
+        p: usize,
+        corrupt: impl Fn(usize, &mut DistGraph, &mut Vec<Node>) + Sync,
+    ) -> Vec<Result<(), Vec<String>>> {
+        let seq = pgp_graph::contract_clustering(g, clustering);
+        run(p, |comm| {
+            let fine = DistGraph::from_global(comm, g);
+            let mut coarse = DistGraph::from_global(comm, &seq.coarse);
+            let mut mapping: Vec<Node> = (0..(fine.n_local() + fine.n_ghost()) as Node)
+                .map(|l| seq.mapping[fine.local_to_global(l) as usize])
+                .collect();
+            corrupt(comm.rank(), &mut coarse, &mut mapping);
+            validate_contraction(comm, &fine, &coarse, &mapping)
+        })
+    }
+
+    /// Ring of 24 contracted pairwise into a ring of 12.
+    fn ring_pairs() -> (CsrGraph, Vec<Node>) {
+        (ring(24), (0..24).map(|v| v / 2).collect())
+    }
+
+    fn expect_contraction_error(reports: Vec<Result<(), Vec<String>>>, needle: &str) {
+        for r in reports {
+            let errs = r.expect_err("corruption must be detected");
+            assert!(errs.iter().any(|e| e.contains(needle)), "{errs:?}");
+        }
+    }
+
+    #[test]
+    fn healthy_contraction_validates() {
+        let (g, clustering) = ring_pairs();
+        for r in check_contraction(&g, &clustering, 3, |_, _, _| {}) {
+            r.unwrap();
+        }
+        let g = pgp_gen::rmat::rmat_web(9, 8, 3);
+        let clustering: Vec<Node> = (0..g.n() as Node).map(|v| v % 37).collect();
+        for r in check_contraction(&g, &clustering, 4, |_, _, _| {}) {
+            r.unwrap();
+        }
+    }
+
+    #[test]
+    fn zero_weight_cluster_contraction_validates() {
+        // Coarse node 0 contracts two zero-weight nodes: it has members
+        // although they weigh nothing.
+        let g = pgp_graph::GraphBuilder::new(4)
+            .add_edge(0, 1)
+            .add_edge(1, 2)
+            .add_edge(2, 3)
+            .node_weights(vec![0, 0, 1, 1])
+            .build();
+        for r in check_contraction(&g, &[0, 0, 2, 3], 2, |_, _, _| {}) {
+            r.unwrap();
+        }
+    }
+
+    #[test]
+    fn wrong_coarse_node_weight_is_detected() {
+        let (g, clustering) = ring_pairs();
+        let reports = check_contraction(&g, &clustering, 3, |rank, coarse, _| {
+            if rank == 1 {
+                coarse.node_weights_mut_for_test()[0] += 1;
+            }
+        });
+        expect_contraction_error(reports, "but its members sum to");
+    }
+
+    #[test]
+    fn dropped_coarse_arc_weight_is_detected() {
+        let (g, clustering) = ring_pairs();
+        let reports = check_contraction(&g, &clustering, 2, |rank, coarse, _| {
+            if rank == 1 {
+                coarse.adjwgt_mut_for_test()[0] = 0;
+            }
+        });
+        expect_contraction_error(reports, "edge weight not conserved");
+    }
+
+    #[test]
+    fn out_of_range_mapping_is_detected() {
+        let (g, clustering) = ring_pairs();
+        let reports = check_contraction(&g, &clustering, 2, |rank, coarse, mapping| {
+            if rank == 0 {
+                mapping[0] = coarse.n_global() as Node;
+            }
+        });
+        expect_contraction_error(reports, "out of coarse range");
     }
 
     #[test]
