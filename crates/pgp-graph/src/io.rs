@@ -51,9 +51,30 @@ fn perr(line: usize, msg: impl Into<String>) -> IoError {
     }
 }
 
+/// The largest total node weight and total edge weight a graph may have:
+/// the partitioner does balance and cut arithmetic in `i64`.
+pub const MAX_TOTAL_WEIGHT: Weight = i64::MAX.unsigned_abs();
+
+/// Adds `w` to a running weight total, failing with a parse error naming
+/// `line` when the total would exceed [`MAX_TOTAL_WEIGHT`].
+fn add_total(total: &mut Weight, w: Weight, what: &str, line: usize) -> Result<(), IoError> {
+    match total.checked_add(w) {
+        Some(t) if t <= MAX_TOTAL_WEIGHT => {
+            *total = t;
+            Ok(())
+        }
+        _ => Err(perr(
+            line,
+            format!("total {what} weight exceeds {MAX_TOTAL_WEIGHT} (i64::MAX)"),
+        )),
+    }
+}
+
 /// Reads a graph in METIS format from any reader. As in METIS, every edge
 /// must be listed by both endpoints with the same weight; an edge listed by
-/// only one, or with two different weights, is a [`IoError::Parse`].
+/// only one, or with two different weights, is a [`IoError::Parse`]. So is
+/// a total node or edge weight above [`MAX_TOTAL_WEIGHT`]; the error names
+/// the line where the running total crosses it.
 pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
     let mut lines = BufReader::new(reader).lines().enumerate();
 
@@ -100,6 +121,8 @@ pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
     // lower-numbered one (checked against the kept ones at the end).
     let mut lower: Vec<EdgeEntry> = Vec::new();
     let mut upper: Vec<EdgeEntry> = Vec::new();
+    let mut node_total: Weight = 0;
+    let mut edge_total: Weight = 0;
     let mut node = 0usize;
     for (no, line) in lines {
         let line = line?;
@@ -120,6 +143,7 @@ pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
                 .ok_or_else(|| perr(no + 1, "missing node weight"))?
                 .parse()
                 .map_err(|_| perr(no + 1, "bad node weight"))?;
+            add_total(&mut node_total, w, "node", no + 1)?;
             nw.push(w);
         }
         while let Some(nbr) = tok.next() {
@@ -142,6 +166,7 @@ pub fn read_metis(reader: impl Read) -> Result<CsrGraph, IoError> {
             let u = node as Node;
             let v = (v - 1) as Node;
             if u < v {
+                add_total(&mut edge_total, w, "edge", no + 1)?;
                 builder.push_edge(u, v, w);
                 lower.push((u, v, w, no + 1));
             } else if v < u {
@@ -432,6 +457,46 @@ mod tests {
             matches!(&err, IoError::Parse { line: 3, msg } if msg.contains("weight 4 here but 3 on line 2")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn metis_rejects_node_weight_total_that_would_wrap() {
+        // 2^63−1 + 2^63−1 + 5 wraps to 3 in u64; the running total crosses
+        // i64::MAX on the second weight's line.
+        let text = "3 0 10\n9223372036854775807\n9223372036854775807\n5\n";
+        let err = read_metis(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, IoError::Parse { line: 3, msg } if msg.contains("total node weight")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metis_rejects_u64_max_node_weight() {
+        let text = "2 1 10\n18446744073709551615 2\n1 1\n";
+        let err = read_metis(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, IoError::Parse { line: 2, msg } if msg.contains("total node weight")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metis_rejects_u64_max_edge_weight() {
+        let text = "2 1 1\n2 18446744073709551615\n1 18446744073709551615\n";
+        let err = read_metis(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, IoError::Parse { line: 2, msg } if msg.contains("total edge weight")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metis_accepts_totals_at_the_limit() {
+        let text = "2 1 11\n9223372036854775806 2 9223372036854775807\n1 1 9223372036854775807\n";
+        let g = read_metis(text.as_bytes()).unwrap();
+        assert_eq!(g.total_node_weight(), MAX_TOTAL_WEIGHT);
+        assert_eq!(g.total_edge_weight(), MAX_TOTAL_WEIGHT);
     }
 
     #[test]
